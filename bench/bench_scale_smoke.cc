@@ -15,11 +15,12 @@
 // Usage: bench_scale_smoke [nodes] [routes]   (defaults: 100000 nodes, 20000 routes)
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/env.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profiler.h"
@@ -155,7 +156,15 @@ int Run(size_t nodes, size_t routes) {
 }  // namespace totoro
 
 int main(int argc, char** argv) {
-  const size_t nodes = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 100000;
-  const size_t routes = argc > 2 ? static_cast<size_t>(std::atoll(argv[2])) : 20000;
-  return totoro::Run(nodes, routes);
+  // Counts go through the strict parser: `abc`, `12x` or `0` is a usage error, not a
+  // zero-node overlay that aborts mid-build.
+  const std::optional<long> nodes = argc > 1 ? totoro::ParseInt64(argv[1], 1) : 100000;
+  const std::optional<long> routes = argc > 2 ? totoro::ParseInt64(argv[2], 1) : 20000;
+  if (argc > 3 || !nodes.has_value() || !routes.has_value()) {
+    std::fprintf(stderr,
+                 "usage: bench_scale_smoke [nodes] [routes]   (positive integers; "
+                 "defaults 100000 and 20000)\n");
+    return 2;
+  }
+  return totoro::Run(static_cast<size_t>(*nodes), static_cast<size_t>(*routes));
 }

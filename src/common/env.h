@@ -26,6 +26,7 @@
 #define SRC_COMMON_ENV_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace totoro {
@@ -34,8 +35,12 @@ namespace totoro {
 // (an empty value is treated as unset, matching every existing caller).
 const char* EnvString(const char* name);
 
-// Integer knob: returns `fallback` when unset, unparsable, trailing-garbage, or
-// below `min_value`.
+// The one strict integer parser, shared by env knobs and command-line arguments: the
+// whole of `text` must be a base-10 integer (optional sign, no surrounding space or
+// trailing garbage) within `long`'s range and >= `min_value`. Empty otherwise.
+std::optional<long> ParseInt64(const char* text, long min_value);
+
+// Integer knob: returns `fallback` when unset or when ParseInt64 rejects the value.
 long EnvInt64(const char* name, long fallback, long min_value);
 
 // Positive thread/worker-count knob: EnvInt64 with min_value 1, narrowed to size_t.

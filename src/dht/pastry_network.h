@@ -45,7 +45,10 @@ class PastryNetwork {
   PastryNode* FindByHost(HostId host);
   PastryNode* FindById(const NodeId& id);
 
-  // Installs converged routing state into every node from global knowledge.
+  // Installs converged routing state into every node from global knowledge. The draws
+  // from `rng` and the installed state do not depend on the thread count: above one
+  // 2048-node chunk, proximity is evaluated on worker threads, so the network's
+  // LatencyModel must tolerate concurrent const calls.
   void BuildOracle(Rng& rng);
 
   // Joins all nodes through the protocol, one at a time (first node bootstraps alone).

@@ -69,6 +69,7 @@ class PastryNode : public Host {
   LeafSet& leaf_set() { return leaf_set_; }
   const LeafSet& leaf_set() const { return leaf_set_; }
   NeighborhoodSet& neighborhood_set() { return neighborhood_set_; }
+  const NeighborhoodSet& neighborhood_set() const { return neighborhood_set_; }
   const PastryConfig& config() const { return config_; }
 
   // Registers a deliver/forward handler for inner messages of type `app_type`.

@@ -17,6 +17,9 @@ std::optional<RouteEntry>* RoutingTable::MaterializeRow(int row) {
     return slots;
   }
   const size_t off = arena_.size();
+  // Grow by exactly one row: resize alone doubles the capacity, so five materialized
+  // rows would hold eight rows' worth of slots in every node.
+  arena_.reserve(off + static_cast<size_t>(columns()));
   arena_.resize(off + static_cast<size_t>(columns()));
   row_offset_[static_cast<size_t>(row)] = static_cast<int32_t>(off);
   if (row < kInlineRows) {

@@ -32,7 +32,14 @@ InvariantChecker::InvariantChecker(PastryNetwork* pastry, Forest* forest,
 InvariantChecker::~InvariantChecker() { Stop(); }
 
 void InvariantChecker::WatchTopic(const NodeId& topic) {
+  uint64_t subs = 0;
+  for (size_t i = 0; i < forest_->size(); ++i) {
+    if (forest_->scribe(i).IsSubscriber(topic)) {
+      ++subs;
+    }
+  }
   topics_.push_back(topic);
+  subscribers_.push_back(subs);
   max_subscribers_.push_back(0);
   if (!audit_installed_) {
     audit_installed_ = true;
@@ -41,6 +48,28 @@ void InvariantChecker::WatchTopic(const NodeId& topic) {
           [this](const NodeId& t, uint64_t round, const AggregationPiece& total) {
             OnRootAggregate(t, round, total.count);
           });
+      forest_->scribe(i).SetSubscriptionAudit(
+          [this](const NodeId& t, bool subscribed) { OnSubscription(t, subscribed); });
+    }
+  }
+}
+
+uint64_t InvariantChecker::SubscriberCount(const NodeId& topic) const {
+  const auto it = std::find(topics_.begin(), topics_.end(), topic);
+  CHECK(it != topics_.end());
+  return subscribers_[static_cast<size_t>(it - topics_.begin())];
+}
+
+void InvariantChecker::OnSubscription(const NodeId& topic, bool subscribed) {
+  for (size_t t = 0; t < topics_.size(); ++t) {
+    if (topics_[t] != topic) {
+      continue;
+    }
+    if (subscribed) {
+      ++subscribers_[t];
+    } else {
+      CHECK_GT(subscribers_[t], 0u);
+      --subscribers_[t];
     }
   }
 }
@@ -87,13 +116,7 @@ void InvariantChecker::Violate(const char* invariant, std::string detail) {
 
 void InvariantChecker::UpdateSubscriberHighWater() {
   for (size_t t = 0; t < topics_.size(); ++t) {
-    uint64_t subs = 0;
-    for (size_t i = 0; i < forest_->size(); ++i) {
-      if (forest_->scribe(i).IsSubscriber(topics_[t])) {
-        ++subs;
-      }
-    }
-    max_subscribers_[t] = std::max(max_subscribers_[t], subs);
+    max_subscribers_[t] = std::max(max_subscribers_[t], subscribers_[t]);
   }
 }
 

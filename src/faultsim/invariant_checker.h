@@ -52,9 +52,14 @@ class InvariantChecker {
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
 
-  // Registers a topic whose tree/aggregation invariants are checked. Installs the
-  // aggregate-audit hook on every scribe the first time a topic is watched.
+  // Registers a topic whose tree/aggregation invariants are checked, counting its
+  // subscribers once. Installs the aggregate- and subscription-audit hooks on every
+  // scribe the first time a topic is watched; the subscription hook keeps the counts
+  // current from then on.
   void WatchTopic(const NodeId& topic);
+
+  // Current subscriber count of a watched topic, as kept by the subscription hook.
+  uint64_t SubscriberCount(const NodeId& topic) const;
 
   // Ground truth source for "is the run quiet" gating; optional (without it eventual
   // checks apply whenever the checker runs).
@@ -79,7 +84,9 @@ class InvariantChecker {
   void CheckConvergedTree(const NodeId& topic);
   void CheckLeafSets();
   void OnRootAggregate(const NodeId& topic, uint64_t round, uint64_t count);
-  // Refreshes the per-topic subscriber high-water marks used by the aggregate audit.
+  void OnSubscription(const NodeId& topic, bool subscribed);
+  // Folds the current subscriber counts into the high-water marks used by the
+  // aggregate audit.
   void UpdateSubscriberHighWater();
 
   PastryNetwork* pastry_;
@@ -87,6 +94,7 @@ class InvariantChecker {
   InvariantCheckerConfig config_;
   const FaultInjector* injector_ = nullptr;
   std::vector<NodeId> topics_;
+  std::vector<uint64_t> subscribers_;      // Parallel to topics_.
   std::vector<uint64_t> max_subscribers_;  // Parallel to topics_.
   std::vector<InvariantViolation> violations_;
   uint64_t checks_run_ = 0;

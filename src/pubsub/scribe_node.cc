@@ -140,6 +140,9 @@ void ScribeNode::SendJoin(const NodeId& topic, bool direct) {
 
 void ScribeNode::Subscribe(const NodeId& topic) {
   TopicState& state = GetOrCreate(topic);
+  if (!state.subscribed && subscription_audit_) {
+    subscription_audit_(topic, true);
+  }
   state.subscribed = true;
   if (state.is_root || state.parent != kInvalidHost) {
     return;  // Already attached as forwarder; just flip the subscriber bit.
@@ -153,6 +156,9 @@ void ScribeNode::Unsubscribe(const NodeId& topic) {
     return;
   }
   TopicState& state = it->second;
+  if (state.subscribed && subscription_audit_) {
+    subscription_audit_(topic, false);
+  }
   state.subscribed = false;
   if (!state.children.empty() || state.is_root) {
     return;  // Still needed as forwarder/root.

@@ -75,6 +75,10 @@ class ScribeNode {
   // callback — the faultsim InvariantChecker audits contribution counts here.
   using AggregateAuditFn =
       std::function<void(const NodeId& topic, uint64_t round, const AggregationPiece& total)>;
+  // Invoked whenever this node's subscriber bit for a topic flips (Subscribe on a
+  // non-subscriber, Unsubscribe on a subscriber) — the faultsim InvariantChecker keeps
+  // per-topic subscriber counts current with it instead of rescanning every node.
+  using SubscriptionAuditFn = std::function<void(const NodeId& topic, bool subscribed)>;
 
   ScribeNode(PastryNode* pastry, ScribeConfig config);
 
@@ -107,6 +111,7 @@ class ScribeNode {
   void SetOnRootAggregate(RootAggregateFn fn) { on_root_aggregate_ = std::move(fn); }
   void SetOnStragglers(StragglerFn fn) { on_stragglers_ = std::move(fn); }
   void SetAggregateAudit(AggregateAuditFn fn) { aggregate_audit_ = std::move(fn); }
+  void SetSubscriptionAudit(SubscriptionAuditFn fn) { subscription_audit_ = std::move(fn); }
 
   // Structure inspection (used by forest statistics and tests).
   bool InTree(const NodeId& topic) const;
@@ -189,6 +194,7 @@ class ScribeNode {
   RootAggregateFn on_root_aggregate_;
   StragglerFn on_stragglers_;
   AggregateAuditFn aggregate_audit_;
+  SubscriptionAuditFn subscription_audit_;
   // Ordered map: MaintenanceTick walks every topic sending heartbeats and re-JOINs, so
   // the walk order feeds event scheduling and must not depend on a hash function.
   std::map<U128, TopicState> topics_;

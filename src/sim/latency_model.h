@@ -14,7 +14,8 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   // One-way propagation delay in virtual ms between two hosts. Must be symmetric and
-  // deterministic for a given pair so repeated sends see a stable base latency.
+  // deterministic for a given pair so repeated sends see a stable base latency, and
+  // safe to call from several threads at once (PastryNetwork::BuildOracle does).
   virtual double LatencyMs(HostId a, HostId b) const = 0;
   // Lower bound over all pairs, used as the sharded simulator's conservative-barrier
   // lookahead. 0 (the safe default) forces the sharded engine to reject K > 1 rather

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/common/env.h"
 #include "src/common/geo.h"
 #include "src/common/rng.h"
 #include "src/common/sha1.h"
@@ -318,6 +319,23 @@ TEST(GeoTest, HaversineKnownDistance) {
 TEST(GeoTest, RttGrowsWithDistance) {
   EXPECT_LT(EstimateRttMs(10.0), EstimateRttMs(1000.0));
   EXPECT_GT(EstimateRttMs(0.0), 0.0);  // Base latency applies even locally.
+}
+
+TEST(ParseInt64Test, AcceptsWholeDecimalIntegersAtOrAboveTheMinimum) {
+  EXPECT_EQ(ParseInt64("200000", 1), 200000);
+  EXPECT_EQ(ParseInt64("+7", 1), 7);
+  EXPECT_EQ(ParseInt64("-3", -5), -3);
+  EXPECT_EQ(ParseInt64("1", 1), 1);
+}
+
+TEST(ParseInt64Test, RejectsGarbageRangeAndBelowMinimum) {
+  for (const char* bad : {"", "abc", "12x", " 5", "5 ", "0x10", "1e3", "--1",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseInt64(bad, 1).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(ParseInt64(nullptr, 1).has_value());
+  EXPECT_FALSE(ParseInt64("0", 1).has_value());
+  EXPECT_FALSE(ParseInt64("-1", 0).has_value());
 }
 
 }  // namespace

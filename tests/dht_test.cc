@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <tuple>
 
 #include "src/dht/pastry_network.h"
+#include "src/rings/zones.h"
 
 namespace totoro {
 namespace {
@@ -387,6 +391,186 @@ TEST(PastryNodeTest, ComputeNextHopDeliversSelfForOwnId) {
   const RouteEntry hop = node.ComputeNextHop(node.id());
   EXPECT_EQ(hop.host, node.host());
 }
+
+// ---------- Oracle build equivalence ----------
+
+// The per-(node, row, column) binary-search build that the sorted sweep replaced, kept
+// here as the reference the sweep must reproduce draw for draw and entry for entry.
+void ReferenceBuildOracle(PastryNetwork& pastry, Rng& rng) {
+  const auto& nodes = pastry.nodes();
+  const size_t n = nodes.size();
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return nodes[a]->id() < nodes[b]->id(); });
+  std::vector<NodeId> sorted_ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    sorted_ids[i] = nodes[order[i]]->id();
+  }
+  const int b = pastry.config().bits_per_digit;
+  const int digits = 128 / b;
+  const int max_rows =
+      std::min(digits, static_cast<int>(std::ceil(std::log2(static_cast<double>(n)) / b)) + 2);
+  const size_t half_leaf = static_cast<size_t>(pastry.config().leaf_set_size) / 2;
+  Network* net = pastry.network();
+  for (size_t pos = 0; pos < n; ++pos) {
+    PastryNode& node = *nodes[order[pos]];
+    for (size_t k = 1; k <= half_leaf && k < n; ++k) {
+      for (size_t neighbor_pos : {(pos + k) % n, (pos + n - k) % n}) {
+        PastryNode& other = *nodes[order[neighbor_pos]];
+        node.Learn(RouteEntry{other.id(), other.host(),
+                              net->LatencyMs(node.host(), other.host())});
+      }
+    }
+    const NodeId self = node.id();
+    for (int r = 0; r < max_rows; ++r) {
+      const int shift = 128 - (r + 1) * b;
+      const U128 prefix = r == 0 ? U128(0, 0) : (self >> (128 - r * b)) << (128 - r * b);
+      const uint32_t self_digit = self.Digit(r, b);
+      for (uint32_t c = 0; c < (1u << b); ++c) {
+        if (c == self_digit) {
+          continue;
+        }
+        const U128 lo = prefix | (U128(0, c) << shift);
+        const U128 hi = shift == 0 ? lo : lo | ((U128(0, 1) << shift) - U128(0, 1));
+        auto first = std::lower_bound(sorted_ids.begin(), sorted_ids.end(), lo);
+        if (first == sorted_ids.end() || *first > hi) {
+          continue;
+        }
+        auto last = std::upper_bound(first, sorted_ids.end(), hi);
+        const size_t count = static_cast<size_t>(last - first);
+        PastryNode* best = nullptr;
+        double best_prox = 0.0;
+        for (int s = 0; s < 4; ++s) {
+          const size_t idx = static_cast<size_t>(first - sorted_ids.begin()) +
+                             (count == 1 ? 0 : rng.NextBelow(count));
+          PastryNode& cand = *nodes[order[idx]];
+          const double prox = net->LatencyMs(node.host(), cand.host());
+          if (best == nullptr || prox < best_prox) {
+            best = &cand;
+            best_prox = prox;
+          }
+          if (count == 1) {
+            break;
+          }
+        }
+        node.routing_table().Consider(RouteEntry{best->id(), best->host(), best_prox});
+      }
+    }
+  }
+}
+
+// Random ids under pairwise-uniform latency, or zoned ids (zone_bits = 4, 12 zones, as
+// in the EUA multi-ring) under geographic latency. Same seed, same overlay.
+struct EquivalenceWorld {
+  Simulator sim;
+  std::unique_ptr<Network> net;
+  std::unique_ptr<PastryNetwork> pastry;
+
+  EquivalenceWorld(size_t n, bool zoned, int bits_per_digit) {
+    Rng rng(777);
+    NetworkConfig net_config;
+    net_config.model_bandwidth = false;
+    std::unique_ptr<LatencyModel> latency;
+    if (zoned) {
+      std::vector<GeoPoint> positions(n);
+      for (GeoPoint& p : positions) {
+        p.lat_deg = rng.Uniform(-40.0, -10.0);
+        p.lon_deg = rng.Uniform(110.0, 155.0);
+      }
+      latency = std::make_unique<GeoLatency>(std::move(positions));
+    } else {
+      latency = std::make_unique<PairwiseUniformLatency>(1.0, 40.0, 778);
+    }
+    net = std::make_unique<Network>(&sim, std::move(latency), net_config);
+    PastryConfig config;
+    config.bits_per_digit = bits_per_digit;
+    pastry = std::make_unique<PastryNetwork>(net.get(), config);
+    pastry->Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (!zoned) {
+        pastry->AddRandomNode(rng);
+        continue;
+      }
+      NodeId id = RandomZonedId(static_cast<ZoneId>(rng.NextBelow(12)), 4, rng);
+      while (pastry->FindById(id) != nullptr) {
+        id = RandomZonedId(static_cast<ZoneId>(rng.NextBelow(12)), 4, rng);
+      }
+      pastry->AddNode(id);
+    }
+  }
+};
+
+bool SameEntry(const RouteEntry& a, const RouteEntry& b) {
+  return a.id == b.id && a.host == b.host &&
+         std::bit_cast<uint64_t>(a.proximity_ms) == std::bit_cast<uint64_t>(b.proximity_ms);
+}
+
+void ExpectSameEntries(const std::vector<RouteEntry>& got, const std::vector<RouteEntry>& want,
+                       size_t node, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what << " size differs at node " << node;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameEntry(got[i], want[i])) << what << " entry " << i << " differs at node "
+                                            << node;
+  }
+}
+
+class OracleEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool, int>> {};
+
+TEST_P(OracleEquivalenceTest, SweepMatchesBinarySearchReference) {
+  const auto [n, zoned, bits] = GetParam();
+  EquivalenceWorld sweep(n, zoned, bits);
+  EquivalenceWorld reference(n, zoned, bits);
+  Rng sweep_rng(4242);
+  Rng reference_rng(4242);
+  sweep.pastry->BuildOracle(sweep_rng);
+  ReferenceBuildOracle(*reference.pastry, reference_rng);
+  EXPECT_EQ(sweep_rng.Next(), reference_rng.Next()) << "RNG draw count differs";
+
+  const int digits = 128 / bits;
+  for (size_t i = 0; i < n; ++i) {
+    const PastryNode& got = sweep.pastry->node(i);
+    const PastryNode& want = reference.pastry->node(i);
+    ASSERT_EQ(got.id(), want.id());
+    ExpectSameEntries(got.leaf_set().All(), want.leaf_set().All(), i, "leaf set");
+    ExpectSameEntries(got.neighborhood_set().entries(), want.neighborhood_set().entries(), i,
+                      "neighbourhood set");
+    ASSERT_EQ(got.routing_table().NumRows(), want.routing_table().NumRows()) << "node " << i;
+    // A row lists its filled slots in column order, and an entry's id fixes its column,
+    // so equal rows mean equal slots.
+    for (int row = 0; row < digits; ++row) {
+      ExpectSameEntries(got.routing_table().Row(row), want.routing_table().Row(row), i,
+                        "routing-table row");
+    }
+  }
+  // Learn charges work and state bytes per call, so equal totals mean equal call counts.
+  const NetworkMetrics& got_metrics = sweep.net->metrics();
+  const NetworkMetrics& want_metrics = reference.net->metrics();
+  EXPECT_EQ(std::bit_cast<uint64_t>(got_metrics.TotalWork(WorkKind::kDhtTask)),
+            std::bit_cast<uint64_t>(want_metrics.TotalWork(WorkKind::kDhtTask)));
+  EXPECT_EQ(got_metrics.TotalStateBytes(), want_metrics.TotalStateBytes());
+}
+
+std::string EquivalenceCaseName(
+    const ::testing::TestParamInfo<std::tuple<size_t, bool, int>>& info) {
+  const size_t n = std::get<0>(info.param);
+  const bool zoned = std::get<1>(info.param);
+  const int bits = std::get<2>(info.param);
+  std::string name = "n";
+  name += std::to_string(n);
+  name += zoned ? "_zoned_b" : "_random_b";
+  name += std::to_string(bits);
+  return name;
+}
+
+// 20000 nodes exceed one build chunk, so that size takes the multi-threaded path.
+INSTANTIATE_TEST_SUITE_P(Sizes, OracleEquivalenceTest,
+                         ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 17, 1000, 20000),
+                                            ::testing::Bool(), ::testing::Values(2, 3, 4)),
+                         EquivalenceCaseName);
 
 TEST(MakeAppIdTest, DeterministicAndSpread) {
   const NodeId a1 = MakeAppId("app", "key", "salt");

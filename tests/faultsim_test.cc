@@ -99,7 +99,7 @@ struct ScenarioWorld {
   NodeId topic;
   std::vector<size_t> members;
 
-  explicit ScenarioWorld(size_t n, uint64_t seed) {
+  ScenarioWorld(size_t n, uint64_t seed, double aggregation_timeout_ms = 0.0) {
     NetworkConfig net_config;
     net_config.model_bandwidth = false;
     net = std::make_unique<Network>(&sim, std::make_unique<PairwiseUniformLatency>(1.0, 10.0, seed),
@@ -122,6 +122,7 @@ struct ScenarioWorld {
     scribe_config.parent_heartbeat_ms = 100.0;
     scribe_config.parent_timeout_ms = 350.0;
     scribe_config.join_retry_ms = 400.0;
+    scribe_config.aggregation_timeout_ms = aggregation_timeout_ms;
     forest = std::make_unique<Forest>(pastry.get(), scribe_config);
     topic = forest->CreateTopic("golden-" + std::to_string(seed));
     for (size_t i = 0; i < n; ++i) {
@@ -383,6 +384,113 @@ TEST(FaultsimGoldenTest, RendezvousRootCrashMidRoundFailsOverAndCompletes) {
       << checker.violations().size()
       << " violations, first: " << checker.violations()[0].invariant << " ("
       << checker.violations()[0].detail << ")";
+}
+
+// ---------- Incremental subscriber counts ----------
+
+// A full rescan, as the checker used to do on every root aggregate.
+uint64_t RescanSubscribers(const Forest& forest, const NodeId& topic) {
+  return forest.ComputeStats(topic).num_subscribers;
+}
+
+size_t CountViolations(const InvariantChecker& checker, const std::string& invariant) {
+  size_t found = 0;
+  for (const InvariantViolation& v : checker.violations()) {
+    found += v.invariant == invariant ? 1 : 0;
+  }
+  return found;
+}
+
+TEST(InvariantCheckerTest, IncrementalSubscriberCountMatchesRescanUnderChurn) {
+  ScenarioWorld world(48, 4600, /*aggregation_timeout_ms=*/300.0);
+  Forest& forest = *world.forest;
+  const NodeId topic = world.topic;
+  FaultInjector injector(world.pastry.get(), world.forest.get(), 4601);
+  InvariantChecker checker(world.pastry.get(), world.forest.get());
+  checker.WatchTopic(topic);
+  checker.SetFaultInjector(&injector);
+  checker.Start();
+  ASSERT_EQ(checker.SubscriberCount(topic), RescanSubscribers(forest, topic));
+
+  // Diurnal crash/rejoin waves, sparing the root that publishes.
+  const size_t root = forest.RootOf(topic);
+  ASSERT_NE(root, SIZE_MAX);
+  DiurnalChurnOptions churn;
+  churn.period_ms = 12000.0;
+  churn.peak_churn_prob = 0.05;
+  churn.protected_hosts = {world.HostOf(root)};
+  Rng churn_rng(4602);
+  const FaultScript script = GenerateDiurnalChurnScript(churn_rng, 48, 12000.0, churn);
+  ASSERT_FALSE(script.empty());
+  injector.Schedule(script);
+
+  // Explicit membership changes on top, timed from the end of set-up: a block leaves,
+  // half of it comes back, and a few nodes leave twice (the second Unsubscribe is a
+  // no-op).
+  for (size_t i = 10; i < 20; ++i) {
+    world.sim.Schedule(1500.0 + 50.0 * static_cast<double>(i),
+                       [&forest, topic, i] { forest.scribe(i).Unsubscribe(topic); });
+  }
+  for (size_t i = 10; i < 15; ++i) {
+    world.sim.Schedule(5000.0 + 70.0 * static_cast<double>(i),
+                       [&forest, topic, i] { forest.scribe(i).Subscribe(topic); });
+  }
+  for (size_t i = 30; i < 34; ++i) {
+    for (double at : {7000.0, 7200.0}) {
+      world.sim.Schedule(at, [&forest, topic, i] { forest.scribe(i).Unsubscribe(topic); });
+    }
+  }
+
+  // One round per second; every live subscriber answers with one contribution, except
+  // that in the last round the first one to hear the broadcast forges a huge count.
+  constexpr uint64_t kRounds = 12;
+  bool forged = false;
+  for (size_t i = 0; i < forest.size(); ++i) {
+    forest.scribe(i).SetOnBroadcast(
+        [&forest, &forged, topic, i](const NodeId&, uint64_t round, const ScribeBroadcast&) {
+          ScribeNode& scribe = forest.scribe(i);
+          if (!scribe.IsSubscriber(topic)) {
+            return;
+          }
+          AggregationPiece piece;
+          if (round == kRounds && !forged) {
+            forged = true;
+            piece.count = 10000;
+          }
+          scribe.SubmitUpdate(topic, round, std::move(piece), 64);
+        });
+  }
+  uint64_t aggregates = 0;
+  size_t honest_over_counts = SIZE_MAX;
+  for (size_t i = 0; i < forest.size(); ++i) {
+    forest.scribe(i).SetOnRootAggregate(
+        [&](const NodeId& t, uint64_t round, const AggregationPiece&) {
+          ++aggregates;
+          EXPECT_EQ(checker.SubscriberCount(t), RescanSubscribers(forest, t))
+              << "round " << round;
+          if (round == kRounds - 1) {
+            honest_over_counts = CountViolations(checker, "aggregation.no_double_count");
+          }
+        });
+  }
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    world.sim.Schedule(1000.0 * static_cast<double>(round), [&forest, topic, round] {
+      const size_t r = forest.RootOf(topic);
+      if (r != SIZE_MAX) {
+        forest.scribe(r).Broadcast(topic, round, nullptr, 64);
+      }
+    });
+  }
+  world.sim.RunFor(1000.0 * static_cast<double>(kRounds) + 3000.0);
+  checker.Stop();
+
+  EXPECT_GE(aggregates, kRounds - 2) << "too few rounds closed to exercise the audit";
+  EXPECT_EQ(checker.SubscriberCount(topic), RescanSubscribers(forest, topic));
+  EXPECT_GT(injector.stats().crashes, 0u);
+  EXPECT_TRUE(forged);
+  EXPECT_EQ(honest_over_counts, 0u) << "an honest round tripped the double-count audit";
+  EXPECT_GE(CountViolations(checker, "aggregation.no_double_count"), 1u)
+      << "the forged count went unnoticed";
 }
 
 // ---------- Injector mechanics ----------
