@@ -9,7 +9,10 @@
 //
 // Known knobs:
 //   TOTORO_LOG_LEVEL       debug/info/warn/error/off or 0-4 (src/common/logging.cc)
-//   TOTORO_COMPUTE_THREADS local-training pool size, >= 1   (src/fl/compute_pool.cc)
+//   TOTORO_COMPUTE_THREADS FL compute-pool workers (local training and round-close
+//                          evaluation), >= 1; 1 = inline on the simulator thread.
+//                          Default max(2, cores) - 1. Every count gives
+//                          bit-identical exports        (src/fl/compute_pool.cc)
 //   TOTORO_BENCH_THREADS   bench trial parallelism, >= 1    (bench/parallel_runner.cc)
 //   TOTORO_PROFILE         >= 1 enables the phase profiler  (src/obs/profiler.cc)
 //   TOTORO_BENCH_REPORT_DIR  BENCH_*.json output dir, default "."; "off" disables
@@ -40,7 +43,8 @@ const char* EnvString(const char* name);
 // trailing garbage) within `long`'s range and >= `min_value`. Empty otherwise.
 std::optional<long> ParseInt64(const char* text, long min_value);
 
-// Integer knob: returns `fallback` when unset or when ParseInt64 rejects the value.
+// Integer knob: returns `fallback` when unset or when ParseInt64 rejects the value. A
+// rejected value logs one warning (per variable and value) naming both and the fallback.
 long EnvInt64(const char* name, long fallback, long min_value);
 
 // Positive thread/worker-count knob: EnvInt64 with min_value 1, narrowed to size_t.

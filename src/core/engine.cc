@@ -656,7 +656,7 @@ void TotoroEngine::EvaluateAndAdvance(AppRuntime& app, uint64_t round) {
     net->metrics().ChargeWork(forest_->scribe(app.master_index).host(), WorkKind::kFlTask,
                               static_cast<double>(app.global_model->NumParams()) *
                                   static_cast<double>(app.test_set.size()));
-    const double accuracy = app.global_model->Accuracy(app.test_set);
+    const double accuracy = EvaluateOnPool(*app.global_model, app.test_set);
     const double now = net->sim()->Now();
     app.last_progress_ms = now;
     if (app.round_trace.valid()) {
@@ -690,6 +690,21 @@ void TotoroEngine::EvaluateAndAdvance(AppRuntime& app, uint64_t round) {
   StartRound(app);
 }
 
+double TotoroEngine::EvaluateOnPool(const Model& model, const Dataset& test_set) {
+  // One contiguous slice per thread that can take one. The counts are integers, so
+  // their sum, and the accuracy, equal Model::Accuracy at any split.
+  CHECK_GT(test_set.size(), 0u);
+  const std::vector<IndexRange> slices = SplitRange(test_set.size(), pool_->parallelism());
+  const std::vector<uint64_t> counts = pool_->RunSlices(slices.size(), [&](size_t i) {
+    return static_cast<uint64_t>(model.CountCorrect(test_set, slices[i].begin, slices[i].end));
+  });
+  uint64_t correct = 0;
+  for (const uint64_t count : counts) {
+    correct += count;
+  }
+  return static_cast<double>(correct) / static_cast<double>(test_set.size());
+}
+
 void TotoroEngine::FinishApp(AppRuntime& app) {
   app.done = true;
   app.result.total_time_ms =
@@ -713,6 +728,9 @@ bool TotoroEngine::RunToCompletion(double max_virtual_ms) {
   while (!AllDone() && !sim->Idle() && sim->Now() < deadline) {
     sim->Run(20000);
   }
+  // Worker-side training phases join this thread's profile now, while the caller can
+  // still read it, not when the pool is destroyed.
+  pool_->FoldWorkerProfiles();
   return AllDone();
 }
 

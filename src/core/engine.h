@@ -170,6 +170,8 @@ class TotoroEngine {
   void OnRootAggregate(const NodeId& topic, uint64_t round, const AggregationPiece& total);
   void OnAsyncUpdate(const NodeId& key, const Message& msg);
   void EvaluateAndAdvance(AppRuntime& app, uint64_t round);
+  // Top-1 accuracy of `model` on `test_set`, counted in slices on the compute pool.
+  double EvaluateOnPool(const Model& model, const Dataset& test_set);
   void StartRound(AppRuntime& app);
   void FinishApp(AppRuntime& app);
   void ReplicateCheckpoint(AppRuntime& app);

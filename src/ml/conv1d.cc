@@ -91,13 +91,14 @@ class Conv1dModel : public Model {
     return loss_sum / static_cast<float>(config.local_steps);
   }
 
-  double Accuracy(const Dataset& data) const override {
-    CHECK_GT(data.size(), 0u);
+  size_t CountCorrect(const Dataset& data, size_t begin, size_t end) const override {
+    CHECK_LE(begin, end);
+    CHECK_LE(end, data.size());
     size_t correct = 0;
     std::vector<float> probs;
     std::vector<float> act;
     std::vector<float> pooled;
-    for (size_t i = 0; i < data.size(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
       Forward(data.example(i).x, act, pooled, probs);
       int best = 0;
       for (int c = 1; c < num_classes_; ++c) {
@@ -107,7 +108,7 @@ class Conv1dModel : public Model {
       }
       correct += best == data.example(i).label ? 1 : 0;
     }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    return correct;
   }
 
   double Loss(const Dataset& data) const override {

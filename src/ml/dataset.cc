@@ -1,5 +1,7 @@
 #include "src/ml/dataset.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace totoro {
@@ -18,6 +20,19 @@ std::vector<size_t> Dataset::SampleBatch(size_t n, Rng& rng) const {
     i = static_cast<size_t>(rng.NextBelow(size()));
   }
   return idx;
+}
+
+std::vector<IndexRange> SplitRange(size_t n, size_t parts) {
+  parts = std::min(n, parts);
+  std::vector<IndexRange> ranges;
+  ranges.reserve(parts);
+  size_t begin = 0;
+  for (size_t i = 0; i < parts; ++i) {
+    const size_t end = begin + n / parts + (i < n % parts ? 1 : 0);
+    ranges.push_back(IndexRange{begin, end});
+    begin = end;
+  }
+  return ranges;
 }
 
 SyntheticTask::SyntheticTask(SyntheticSpec spec) : spec_(spec) {

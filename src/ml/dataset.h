@@ -38,6 +38,16 @@ class Dataset {
   std::vector<Example> examples_;
 };
 
+// One contiguous run [begin, end) of example indices.
+struct IndexRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// Splits [0, n) into min(n, parts) non-empty contiguous ranges, in order, whose sizes
+// differ by at most one (the first n % parts ranges take the extra index).
+std::vector<IndexRange> SplitRange(size_t n, size_t parts);
+
 struct SyntheticSpec {
   int dim = 64;
   int num_classes = 10;

@@ -93,13 +93,15 @@ class MlpModel : public Model {
     return loss_sum / static_cast<float>(config.local_steps);
   }
 
-  double Accuracy(const Dataset& data) const override {
-    CHECK_GT(data.size(), 0u);
+  size_t CountCorrect(const Dataset& data, size_t begin, size_t end) const override {
+    CHECK_LE(begin, end);
+    CHECK_LE(end, data.size());
     size_t correct = 0;
+    std::vector<float> hidden;
     std::vector<float> probs;
-    for (size_t i = 0; i < data.size(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const Example& e = data.example(i);
-      Predict(e.x, probs);
+      Predict(e.x, hidden, probs);
       int best = 0;
       for (int c = 1; c < num_classes_; ++c) {
         if (probs[static_cast<size_t>(c)] > probs[static_cast<size_t>(best)]) {
@@ -110,23 +112,27 @@ class MlpModel : public Model {
         ++correct;
       }
     }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    return correct;
   }
 
   double Loss(const Dataset& data) const override {
     CHECK_GT(data.size(), 0u);
     double loss = 0.0;
+    std::vector<float> hidden;
     std::vector<float> probs;
     for (size_t i = 0; i < data.size(); ++i) {
       const Example& e = data.example(i);
-      Predict(e.x, probs);
+      Predict(e.x, hidden, probs);
       loss += -std::log(std::max(probs[static_cast<size_t>(e.label)], 1e-12f));
     }
     return loss / static_cast<double>(data.size());
   }
 
  private:
-  void Predict(const std::vector<float>& x, std::vector<float>& probs) const {
+  // `hidden` is caller-owned scratch, so concurrent Predicts on one model never share a
+  // buffer.
+  void Predict(const std::vector<float>& x, std::vector<float>& hidden,
+               std::vector<float>& probs) const {
     // Accumulate along ROWS of the weight matrices (axpy order, the same order MatMul
     // uses in training): unit-stride streaming the compiler can vectorize, instead of
     // a strided column walk per output. Same trick MatMul plays with zero inputs: a
@@ -142,18 +148,18 @@ class MlpModel : public Model {
               static_cast<size_t>(num_classes_));
       }
     } else {
-      hidden_scratch_.assign(b1_.begin(), b1_.end());
+      hidden.assign(b1_.begin(), b1_.end());
       for (int d = 0; d < input_dim_; ++d) {
         const float xd = x[static_cast<size_t>(d)];
         if (xd == 0.0f) {
           continue;
         }
-        KAxpy(xd, w1_.row(static_cast<size_t>(d)).data(), hidden_scratch_.data(),
+        KAxpy(xd, w1_.row(static_cast<size_t>(d)).data(), hidden.data(),
               static_cast<size_t>(hidden_dim_));
       }
       probs.assign(b2_.begin(), b2_.end());
       for (int h = 0; h < hidden_dim_; ++h) {
-        const float hv = std::max(hidden_scratch_[static_cast<size_t>(h)], 0.0f);
+        const float hv = std::max(hidden[static_cast<size_t>(h)], 0.0f);
         if (hv == 0.0f) {
           continue;
         }
@@ -283,8 +289,6 @@ class MlpModel : public Model {
   std::vector<float> b1_;
   Matrix w2_{0, 0};
   std::vector<float> b2_;
-  // Per-instance Predict scratch (models are single-threaded; trainers own clones).
-  mutable std::vector<float> hidden_scratch_;
   // SgdStep scratch, reused across steps. Every buffer is fully overwritten per call,
   // so reuse carries no state between steps and the math stays bit-identical.
   Matrix x_scratch_, a1_scratch_, logits_scratch_, gw1_scratch_, gw2_scratch_;

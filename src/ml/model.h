@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/ml/dataset.h"
 
 namespace totoro {
@@ -40,8 +41,17 @@ class Model {
   virtual float TrainLocal(const Dataset& shard, const TrainConfig& config, Rng& rng,
                            std::span<const float> anchor = {}) = 0;
 
-  // Top-1 accuracy on a dataset.
-  virtual double Accuracy(const Dataset& data) const = 0;
+  // Top-1 accuracy on a non-empty dataset: CountCorrect over all of it, over its size.
+  double Accuracy(const Dataset& data) const {
+    CHECK_GT(data.size(), 0u);
+    return static_cast<double>(CountCorrect(data, 0, data.size())) /
+           static_cast<double>(data.size());
+  }
+  // Examples in [begin, end) whose top-1 prediction (the first maximum on a tie) equals
+  // the label. Const calls on one model may run concurrently, and every example takes
+  // the same Predict path whichever slice it is in, so the counts of the slices of
+  // SplitRange(data.size(), parts) always sum to the count Accuracy uses.
+  virtual size_t CountCorrect(const Dataset& data, size_t begin, size_t end) const = 0;
   // Mean cross-entropy loss on a dataset.
   virtual double Loss(const Dataset& data) const = 0;
 

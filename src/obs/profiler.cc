@@ -263,6 +263,17 @@ void Profiler::MergeSubtree(const Profiler& other, size_t src, size_t dst) {
 void Profiler::MergeFrom(const Profiler& other) {
   CHECK(other.stack_.empty());  // A phase still open on another thread can't fold.
   MergeSubtree(other, 0, 0);
+  MergeSamples(other);
+}
+
+void Profiler::MergeUnder(const char* container, const Profiler& other) {
+  CHECK(ValidPhaseName(container));
+  CHECK(other.stack_.empty());
+  MergeSubtree(other, 0, ChildNode(0, container));
+  MergeSamples(other);
+}
+
+void Profiler::MergeSamples(const Profiler& other) {
   for (const auto& [name, series] : other.samples_) {
     SampleSeries& out = samples_[name];
     if (series.count == 0) {

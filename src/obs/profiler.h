@@ -135,6 +135,11 @@ class Profiler {
   // given thread count. This is how worker-thread phases — recorded into the workers'
   // thread-local profilers — reach the exported tree instead of dying with the thread.
   void MergeFrom(const Profiler& other);
+  // MergeFrom, but with `other`'s top-level phases placed under the top-level phase
+  // `container`, which itself records no calls, wall or virtual time. Used for work
+  // that ran on other threads alongside this one: under a serial phase it would count
+  // twice and push that phase's self time below zero.
+  void MergeUnder(const char* container, const Profiler& other);
 
  private:
   friend class ProfileScope;
@@ -142,6 +147,7 @@ class Profiler {
   // Find-or-create the child `name` under `parent` (shared by Enter and MergeFrom).
   size_t ChildNode(size_t parent, const std::string& name);
   void MergeSubtree(const Profiler& other, size_t src, size_t dst);
+  void MergeSamples(const Profiler& other);
 
   struct Frame {
     size_t node = 0;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "src/common/env.h"
 #include "src/common/geo.h"
@@ -336,6 +338,31 @@ TEST(ParseInt64Test, RejectsGarbageRangeAndBelowMinimum) {
   EXPECT_FALSE(ParseInt64(nullptr, 1).has_value());
   EXPECT_FALSE(ParseInt64("0", 1).has_value());
   EXPECT_FALSE(ParseInt64("-1", 0).has_value());
+}
+
+// A malformed knob falls back, and says so once: the warning names the variable, the
+// rejected value and the fallback. A repeat read of the same value stays quiet.
+TEST(EnvInt64Test, MalformedValueWarnsOnceAndFallsBack) {
+  ::setenv("TOTORO_TEST_KNOB", "junk", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvInt64("TOTORO_TEST_KNOB", 5, 1), 5);
+  EXPECT_EQ(EnvInt64("TOTORO_TEST_KNOB", 5, 1), 5);
+  const std::string first = testing::internal::GetCapturedStderr();
+  EXPECT_NE(first.find("TOTORO_TEST_KNOB=\"junk\""), std::string::npos) << first;
+  EXPECT_NE(first.find("using 5"), std::string::npos) << first;
+  EXPECT_EQ(first.find("TOTORO_TEST_KNOB"), first.rfind("TOTORO_TEST_KNOB")) << first;
+
+  // Below the minimum is malformed too; a valid or unset value never warns.
+  ::setenv("TOTORO_TEST_KNOB", "0", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvThreadCount("TOTORO_TEST_KNOB", 2), 2u);
+  ::setenv("TOTORO_TEST_KNOB", "3", 1);
+  EXPECT_EQ(EnvThreadCount("TOTORO_TEST_KNOB", 2), 3u);
+  ::unsetenv("TOTORO_TEST_KNOB");
+  EXPECT_EQ(EnvThreadCount("TOTORO_TEST_KNOB", 2), 2u);
+  const std::string second = testing::internal::GetCapturedStderr();
+  EXPECT_NE(second.find("TOTORO_TEST_KNOB=\"0\""), std::string::npos) << second;
+  EXPECT_EQ(second.find("TOTORO_TEST_KNOB"), second.rfind("TOTORO_TEST_KNOB")) << second;
 }
 
 }  // namespace

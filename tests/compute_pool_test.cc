@@ -3,8 +3,11 @@
 // results) to the sequential run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,38 +42,176 @@ TEST(ComputePoolTest, InlineModeRunsOnSubmitWithoutThreads) {
 }
 
 // Regression for the orphan-tree bug: ProfileScopes inside offloaded tasks accumulate
-// into the WORKER's thread-local profiler, which used to die with the thread — a
-// profiled run under TOTORO_COMPUTE_THREADS>1 silently lost every task phase. The pool
-// now drains each worker's tree into the owner's profiler at destruction, so worker
-// phases appear in the export.
+// into the WORKER's thread-local profiler, which used to die with the thread (and later
+// only reached the owner when the pool was destroyed, after a bench had read its
+// profile). Workers now stash their phases before marking a task done, and
+// FoldWorkerProfiles moves them into the owner's tree under the zero-wall top-level
+// container "compute_pool" while the pool is alive.
 TEST(ComputePoolTest, WorkerProfilerPhasesDrainIntoOwnersTree) {
-  // The env var must be visible before the pool's worker threads first touch their
-  // thread-local profilers; a fresh owner thread gives this test a clean tree too.
-  ::setenv("TOTORO_PROFILE", "1", 1);
-  uint64_t calls = 0;
+  uint64_t calls_after_fold = 0;
+  uint64_t calls_after_destroy = 0;
+  uint64_t container_calls = 1;
+  double container_wall = 1.0;
   std::string json;
-  std::thread owner([&calls, &json] {
+  // A fresh owner thread gives this test a clean tree; its enabled profiler is what
+  // the submitted tasks inherit.
+  std::thread owner([&] {
     GlobalProfiler().SetEnabled(true);
     {
       ComputePool pool(4);
+      std::atomic<int> started{0};
       std::vector<ComputePool::Ticket> tickets;
       for (int i = 0; i < 16; ++i) {
-        tickets.push_back(pool.Submit([i] { return MakeUpdate(static_cast<float>(i)); }));
+        tickets.push_back(pool.Submit([i, &started] {
+          started.fetch_add(1);
+          return MakeUpdate(static_cast<float>(i));
+        }));
+      }
+      // Let the workers claim every task first: Wait() runs a still-queued task on the
+      // waiting thread, and this test is about the worker-side phases.
+      while (started.load() < 16) {
+        std::this_thread::yield();
       }
       for (ComputePool::Ticket& ticket : tickets) {
         ticket.Wait();
       }
-    }  // Pool destruction joins the workers and folds their trees, worker-index order.
-    const Profiler::PhaseNode* node = GlobalProfiler().Find("compute_task");
-    if (node != nullptr) {
-      calls = node->stats.calls;
+      pool.FoldWorkerProfiles();
+      if (const Profiler::PhaseNode* node = GlobalProfiler().Find("compute_pool.compute_task")) {
+        calls_after_fold = node->stats.calls;
+      }
+      if (const Profiler::PhaseNode* node = GlobalProfiler().Find("compute_pool")) {
+        container_calls = node->stats.calls;
+        container_wall = node->stats.wall_seconds;
+      }
+    }  // Destruction folds only what is left: nothing.
+    if (const Profiler::PhaseNode* node = GlobalProfiler().Find("compute_pool.compute_task")) {
+      calls_after_destroy = node->stats.calls;
     }
     json = GlobalProfiler().ToJson();
   });
   owner.join();
-  ::unsetenv("TOTORO_PROFILE");
-  EXPECT_EQ(calls, 16u);
+  EXPECT_EQ(calls_after_fold, 16u);
+  EXPECT_EQ(calls_after_destroy, 16u);
+  EXPECT_EQ(container_calls, 0u);
+  EXPECT_EQ(container_wall, 0.0);
   EXPECT_NE(json.find("compute_task"), std::string::npos);
+}
+
+TEST(ComputePoolTest, UnprofiledSubmitterLeavesNoWorkerPhases) {
+  size_t nodes = 0;
+  std::thread owner([&nodes] {
+    GlobalProfiler().SetEnabled(false);
+    ComputePool pool(2);
+    pool.Submit([] { return MakeUpdate(1.0f); }).Wait();
+    pool.FoldWorkerProfiles();
+    nodes = GlobalProfiler().nodes().size();
+  });
+  owner.join();
+  EXPECT_EQ(nodes, 1u);  // The root only.
+}
+
+// A waiter never blocks behind the queue for a task no worker has started: it runs
+// the task itself.
+TEST(ComputePoolTest, WaitRunsAStillQueuedTaskOnTheWaitingThread) {
+  ComputePool pool(2);
+  Mutex gate_mu;
+  CondVar gate_cv;
+  bool open = false;
+  auto blocked = [&] {
+    MutexLock lock(&gate_mu);
+    while (!open) {
+      gate_cv.Wait(gate_mu);
+    }
+    return MakeUpdate(0.0f);
+  };
+  std::vector<ComputePool::Ticket> held{pool.Submit(blocked), pool.Submit(blocked)};
+  const std::thread::id waiter = std::this_thread::get_id();
+  std::thread::id ran_on;
+  ComputePool::Ticket queued = pool.Submit([&ran_on] {
+    ran_on = std::this_thread::get_id();
+    return MakeUpdate(5.0f);
+  });
+  EXPECT_EQ(queued.Take().weights[0], 5.0f);  // Both workers are still held.
+  EXPECT_EQ(ran_on, waiter);
+  {
+    MutexLock lock(&gate_mu);
+    open = true;
+  }
+  gate_cv.NotifyAll();
+  for (ComputePool::Ticket& ticket : held) {
+    ticket.Wait();
+  }
+}
+
+TEST(ComputePoolTest, RunSlicesReturnsResultsInSliceOrder) {
+  for (size_t threads : {1u, 2u, 4u}) {
+    ComputePool pool(threads);
+    const std::vector<uint64_t> results =
+        pool.RunSlices(7, [](size_t slice) { return static_cast<uint64_t>(slice * slice); });
+    ASSERT_EQ(results.size(), 7u);
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i], i * i) << "threads=" << threads;
+    }
+    EXPECT_TRUE(pool.RunSlices(0, [](size_t) { return uint64_t{1}; }).empty());
+    EXPECT_EQ(pool.tasks_submitted(), 0u);  // Slices are not training tasks.
+  }
+}
+
+// Evaluation must not queue behind training: with every worker blocked and more
+// training queued, RunSlices still completes because the caller runs the slices no
+// worker has claimed.
+TEST(ComputePoolTest, RunSlicesDoesNotWaitBehindQueuedTraining) {
+  ComputePool pool(2);
+  Mutex gate_mu;
+  CondVar gate_cv;
+  bool open = false;
+  auto blocked = [&] {
+    MutexLock lock(&gate_mu);
+    while (!open) {
+      gate_cv.Wait(gate_mu);
+    }
+    return MakeUpdate(1.0f);
+  };
+  std::atomic<int> started{0};
+  std::vector<ComputePool::Ticket> tickets;
+  for (int i = 0; i < 6; ++i) {
+    tickets.push_back(pool.Submit([&] {
+      started.fetch_add(1);
+      return blocked();
+    }));
+  }
+  while (started.load() < 2) {  // Both workers are inside a training task.
+    std::this_thread::yield();
+  }
+  const std::vector<uint64_t> results =
+      pool.RunSlices(4, [](size_t slice) { return static_cast<uint64_t>(slice + 10); });
+  EXPECT_EQ(results, (std::vector<uint64_t>{10, 11, 12, 13}));
+  {
+    MutexLock lock(&gate_mu);
+    open = true;
+  }
+  gate_cv.NotifyAll();
+  for (ComputePool::Ticket& ticket : tickets) {
+    EXPECT_EQ(ticket.Take().weights[0], 1.0f);
+  }
+}
+
+TEST(ComputePoolTest, RunSlicesRethrowsTheFirstFailedSliceAfterAllRan) {
+  ComputePool pool(3);
+  std::atomic<int> ran{0};
+  try {
+    pool.RunSlices(6, [&ran](size_t slice) -> uint64_t {
+      ++ran;
+      if (slice == 2 || slice == 4) {
+        throw std::runtime_error("slice " + std::to_string(slice));
+      }
+      return slice;
+    });
+    ADD_FAILURE() << "RunSlices swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "slice 2");
+  }
+  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(ComputePoolTest, ThreadedPoolCompletesAllTasksWithCorrectResults) {
@@ -120,24 +261,33 @@ TEST(ComputePoolTest, DestructorDrainsQueuedTasks) {
   }
 }
 
+// Unset or malformed, the pool takes every core but the simulator thread's (inline on
+// one or two cores), the rule the overlay build's worker count follows too.
 TEST(ComputePoolTest, ThreadsFromEnvParsesAndDefaults) {
+  const size_t cores = std::thread::hardware_concurrency();
+  const size_t default_threads = std::max<size_t>(2, cores) - 1;
   ::setenv("TOTORO_COMPUTE_THREADS", "6", 1);
   EXPECT_EQ(ComputePool::ThreadsFromEnv(), 6u);
+  ::setenv("TOTORO_COMPUTE_THREADS", "1", 1);
+  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
   ::setenv("TOTORO_COMPUTE_THREADS", "0", 1);
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
+  EXPECT_EQ(ComputePool::ThreadsFromEnv(), default_threads);
   ::setenv("TOTORO_COMPUTE_THREADS", "junk", 1);
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
+  EXPECT_EQ(ComputePool::ThreadsFromEnv(), default_threads);
   ::unsetenv("TOTORO_COMPUTE_THREADS");
-  EXPECT_EQ(ComputePool::ThreadsFromEnv(), 1u);
+  EXPECT_EQ(ComputePool::ThreadsFromEnv(), default_threads);
 }
 
 // --- Engine-level determinism -------------------------------------------------------
 
-FlAppConfig ProbeApp(const std::string& name) {
+// `hidden` > 0 swaps the softmax regression for an MLP with that many hidden units,
+// heavy enough that workers, not the waiting simulator thread, run most tasks.
+FlAppConfig ProbeApp(const std::string& name, int hidden = 0) {
   FlAppConfig config;
   config.name = name;
-  config.model_factory = [](uint64_t seed) {
-    return MakeSoftmaxRegression("sr", 16, 4, seed);
+  config.model_factory = [hidden](uint64_t seed) {
+    return hidden > 0 ? MakeMlp("mlp", 16, hidden, 4, seed)
+                      : MakeSoftmaxRegression("sr", 16, 4, seed);
   };
   config.train.learning_rate = 0.15f;
   config.train.batch_size = 20;
@@ -151,12 +301,29 @@ struct EngineArtifacts {
   std::string metrics;
   std::vector<AppResult> results;
   uint64_t rejoins = 0;
+  uint64_t train_tasks = 0;
+  // compute_task calls in this thread's profile, wherever they sit (folded from the
+  // workers, or nested under a phase when a Wait() ran the task): when RunToCompletion
+  // returned, and after the engine and its pool were destroyed.
+  uint64_t task_phases_at_return = 0;
+  uint64_t task_phases_at_end = 0;
 };
+
+uint64_t ComputeTaskPhaseCalls() {
+  uint64_t calls = 0;
+  for (const Profiler::PhaseNode& node : GlobalProfiler().nodes()) {
+    if (node.name == "compute_task") {
+      calls += node.stats.calls;
+    }
+  }
+  return calls;
+}
 
 // One world exercising every offloaded path: a secure-aggregation app with Oort-like
 // selection, a straggler cut by the tree timeout, a round deadline, and an async app
-// with staleness discounting — run at `threads` compute threads.
-EngineArtifacts RunEngineWorld(size_t threads) {
+// with staleness discounting — run at `threads` compute threads, or with the engine's
+// default pool when unset.
+EngineArtifacts RunEngineWorld(std::optional<size_t> threads, int hidden = 0) {
   GlobalTracer().Clear();
   GlobalTracer().SetEnabled(true);
   GlobalMetrics().ResetValues();
@@ -175,7 +342,9 @@ EngineArtifacts RunEngineWorld(size_t threads) {
     scribe_config.aggregation_timeout_ms = 200.0;
     Forest forest(&pastry, scribe_config);
     TotoroEngine engine(&forest, ComputeModel{}, 101);
-    engine.SetComputeThreads(threads);
+    if (threads.has_value()) {
+      engine.SetComputeThreads(*threads);
+    }
     engine.SetRoundDeadline(5000.0);
     // Worker 3 is ~5 orders of magnitude slower: every round cuts it off.
     std::vector<double> speeds(50, 1.0);
@@ -199,14 +368,14 @@ EngineArtifacts RunEngineWorld(size_t threads) {
     };
     std::vector<size_t> workers{0, 1, 2, 3, 4, 5, 6, 7};
 
-    FlAppConfig secure = ProbeApp("secure-app");
+    FlAppConfig secure = ProbeApp("secure-app", hidden);
     secure.secure_aggregation = true;
     secure.participants_per_round = 5;
     secure.selection = SelectionPolicy::kOortLike;
     const NodeId secure_topic =
         engine.LaunchApp(secure, workers, make_shards(8), task.Generate(150, data_rng));
 
-    FlAppConfig async_app = ProbeApp("async-app");
+    FlAppConfig async_app = ProbeApp("async-app", hidden);
     async_app.async = AsyncConfig{};
     async_app.async->staleness_exponent = 0.5;
     std::vector<size_t> async_workers{10, 11, 12, 13, 14, 15};
@@ -218,7 +387,10 @@ EngineArtifacts RunEngineWorld(size_t threads) {
     out.results.push_back(engine.result(secure_topic));
     out.results.push_back(engine.result(async_topic));
     out.rejoins = sim.rejoins_scheduled();
+    out.train_tasks = GlobalMetrics().GetCounter("engine.compute.train_tasks").value();
+    out.task_phases_at_return = ComputeTaskPhaseCalls();
   }
+  out.task_phases_at_end = ComputeTaskPhaseCalls();
   out.trace = TraceToChromeJson(GlobalTracer());
   out.metrics = MetricsToJson(GlobalMetrics());
   GlobalTracer().SetEnabled(false);
@@ -251,6 +423,43 @@ TEST(ComputePoolDeterminismTest, FourThreadEngineRunIsByteIdenticalToSequential)
     for (size_t p = 0; p < a.curve.size(); ++p) {
       EXPECT_EQ(a.curve[p].accuracy, b.curve[p].accuracy);
       EXPECT_EQ(a.curve[p].time_ms, b.curve[p].time_ms);
+    }
+  }
+}
+
+// Worker-side phases reach the owner's profile while the engine (and its pool) is still
+// alive, so a bench that reads the profile right after the run sees the training time.
+TEST(ComputePoolDeterminismTest, RunToCompletionFoldsWorkerPhases) {
+  EngineArtifacts run;
+  std::thread owner([&run] {
+    GlobalProfiler().SetEnabled(true);
+    run = RunEngineWorld(4, /*hidden=*/256);
+  });
+  owner.join();
+  // Every task's phase is counted exactly once in the end.
+  EXPECT_GT(run.train_tasks, 14u);
+  EXPECT_EQ(run.task_phases_at_end, run.train_tasks);
+  // A trainer joins its previous ticket before it trains again, so at most one task per
+  // trainer (14 in this world) can still be unjoined, and unfolded, at the return.
+  EXPECT_LE(run.task_phases_at_end - run.task_phases_at_return, 14u);
+}
+
+// The engine's default pool (TOTORO_COMPUTE_THREADS unset: every core) against the
+// explicitly pinned inline pool.
+TEST(ComputePoolDeterminismTest, DefaultPoolRunIsByteIdenticalToInline) {
+  ::unsetenv("TOTORO_COMPUTE_THREADS");
+  const EngineArtifacts inline_run = RunEngineWorld(1);
+  const EngineArtifacts default_run = RunEngineWorld(std::nullopt);
+  EXPECT_GT(inline_run.rejoins, 0u);
+  EXPECT_EQ(inline_run.rejoins, default_run.rejoins);
+  EXPECT_EQ(inline_run.trace, default_run.trace);
+  EXPECT_EQ(inline_run.metrics, default_run.metrics);
+  ASSERT_EQ(inline_run.results.size(), default_run.results.size());
+  for (size_t i = 0; i < inline_run.results.size(); ++i) {
+    ASSERT_EQ(inline_run.results[i].curve.size(), default_run.results[i].curve.size());
+    for (size_t p = 0; p < inline_run.results[i].curve.size(); ++p) {
+      EXPECT_EQ(inline_run.results[i].curve[p].accuracy,
+                default_run.results[i].curve[p].accuracy);
     }
   }
 }

@@ -2,34 +2,12 @@
 // and the zero-allocation steady state the simulator hot path depends on.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "src/sim/event_fn.h"
 #include "src/sim/event_queue.h"
-
-// Counts every global allocation so tests can assert "no heap traffic" across a
-// steady-state schedule/fire loop. Counting is always on (it is one relaxed atomic
-// increment); tests snapshot the counter around the region of interest.
-static std::atomic<uint64_t> g_allocations{0};
-
-void* operator new(size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "tests/counting_new.h"
 
 namespace totoro {
 namespace {
@@ -39,9 +17,9 @@ namespace {
 TEST(EventFnTest, InlineCaptureDoesNotAllocate) {
   char payload[EventFn::kInlineSize - 8] = {1};
   int hits = 0;
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = AllocationCount();
   EventFn fn([&hits, payload]() { hits += payload[0]; });
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(AllocationCount(), before);
   fn();
   EXPECT_EQ(hits, 1);
 }
@@ -50,9 +28,9 @@ TEST(EventFnTest, OversizedCaptureFallsBackToHeap) {
   char payload[EventFn::kInlineSize + 64] = {};
   payload[0] = 7;
   int result = 0;
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = AllocationCount();
   EventFn fn([&result, payload]() { result = payload[0]; });
-  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_GT(AllocationCount(), before);
   fn();
   EXPECT_EQ(result, 7);
 }
@@ -182,7 +160,7 @@ TEST(EventQueueTest, SteadyStateScheduleFireLoopIsAllocationFree) {
   while (q.PopAndRun(&at)) {
   }
 
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = AllocationCount();
   int fired = 0;
   for (int round = 0; round < 10000; ++round) {
     // A capture representative of the delivery closure: well within kInlineSize.
@@ -197,7 +175,7 @@ TEST(EventQueueTest, SteadyStateScheduleFireLoopIsAllocationFree) {
   while (q.PopAndRun(&at)) {
   }
   EXPECT_EQ(fired, 10000);
-  EXPECT_EQ(g_allocations.load(), before) << "steady-state schedule/fire loop allocated";
+  EXPECT_EQ(AllocationCount(), before) << "steady-state schedule/fire loop allocated";
 }
 
 TEST(EventQueueTest, CancelChurnIsAllocationFreeAfterWarmup) {
@@ -210,7 +188,7 @@ TEST(EventQueueTest, CancelChurnIsAllocationFreeAfterWarmup) {
   while (q.PopAndRun(&at)) {
   }
 
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = AllocationCount();
   for (int round = 0; round < 1000; ++round) {
     EventHandle h = q.Push(static_cast<SimTime>(round), []() {});
     EventHandle keep = q.Push(static_cast<SimTime>(round) + 0.5, []() {});
@@ -218,7 +196,7 @@ TEST(EventQueueTest, CancelChurnIsAllocationFreeAfterWarmup) {
     ASSERT_TRUE(q.PopAndRun(&at));  // Skips the cancelled event, runs `keep`.
     (void)keep;
   }
-  EXPECT_EQ(g_allocations.load(), before) << "cancel churn allocated";
+  EXPECT_EQ(AllocationCount(), before) << "cancel churn allocated";
   EXPECT_EQ(q.cancelled_total(), 1000u);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/ml/model.h"
 #include "src/ml/serialize.h"
@@ -330,6 +333,110 @@ TEST(SerializeTest, Int8AllZeros) {
   const auto decoded = DecodeInt8(EncodeInt8(w));
   for (float v : decoded) {
     EXPECT_FLOAT_EQ(v, 0.0f);
+  }
+}
+
+// --- Sliced evaluation -----------------------------------------------------------
+// The FL engine evaluates a round's global model in contiguous test-set slices on the
+// compute pool and sums the integer counts. That must reproduce Model::Accuracy
+// exactly, with the slices counted concurrently on one shared model.
+
+TEST(SplitRangeTest, ContiguousNonEmptyAndBalanced) {
+  for (size_t n : {0u, 1u, 3u, 10u, 400u}) {
+    for (size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+      const std::vector<IndexRange> ranges = SplitRange(n, parts);
+      ASSERT_EQ(ranges.size(), std::min(n, parts)) << n << "/" << parts;
+      size_t next = 0;
+      for (const IndexRange& r : ranges) {
+        EXPECT_EQ(r.begin, next);
+        EXPECT_GT(r.end, r.begin);
+        EXPECT_LE(r.end - r.begin, n / parts + 1);
+        next = r.end;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
+}
+
+// Accuracy from CountCorrect over SplitRange(test.size(), parts), each slice counted
+// on its own thread.
+double SlicedAccuracy(const Model& model, const Dataset& test, size_t parts) {
+  const std::vector<IndexRange> ranges = SplitRange(test.size(), parts);
+  std::vector<size_t> counts(ranges.size(), 0);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    threads.emplace_back([&, i] {
+      counts[i] = model.CountCorrect(test, ranges[i].begin, ranges[i].end);
+    });
+  }
+  size_t correct = 0;
+  for (size_t i = 0; i < threads.size(); ++i) {
+    threads[i].join();
+    correct += counts[i];
+  }
+  return static_cast<double>(correct) / static_cast<double>(test.size());
+}
+
+std::vector<std::unique_ptr<Model>> SliceTestModels() {
+  std::vector<std::unique_ptr<Model>> models;
+  models.push_back(MakeMlp("mlp", 16, 24, 5, 41));
+  models.push_back(MakeSoftmaxRegression("sr", 16, 5, 42));
+  models.push_back(MakeConv1d("conv", 16, 4, 3, 5, 43));
+  return models;
+}
+
+TEST(SlicedAccuracyTest, SliceCountsReproduceAccuracyExactly) {
+  SyntheticSpec spec;
+  spec.dim = 16;
+  spec.num_classes = 5;
+  spec.class_separation = 0.6;
+  spec.noise_stddev = 1.5;
+  spec.seed = 44;
+  SyntheticTask task(spec);
+  Rng rng(45);
+  const Dataset train = task.Generate(300, rng);
+  const Dataset test = task.Generate(203, rng);
+  const Dataset tiny = task.Generate(3, rng);
+  TrainConfig config;
+  config.learning_rate = 0.1f;
+  config.local_steps = 40;
+  for (const std::unique_ptr<Model>& model : SliceTestModels()) {
+    Rng train_rng(46);
+    model->TrainLocal(train, config, train_rng);
+    const double serial = model->Accuracy(test);
+    EXPECT_GT(serial, 0.0) << model->name();
+    EXPECT_LT(serial, 1.0) << model->name();  // Both outcomes occur, so slices matter.
+    for (size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+      EXPECT_EQ(SlicedAccuracy(*model, test, parts), serial)
+          << model->name() << " parts=" << parts;
+      // Fewer examples than slices: one example per slice.
+      EXPECT_EQ(SlicedAccuracy(*model, tiny, parts), model->Accuracy(tiny))
+          << model->name() << " tiny parts=" << parts;
+    }
+  }
+}
+
+TEST(SlicedAccuracyTest, LogitTiesResolveToTheFirstClassInEverySlice) {
+  // All-zero weights give every class the same logit, so each prediction is the tie
+  // break (class 0) and accuracy is the share of label-0 examples.
+  Dataset test(16, 5);
+  Rng rng(47);
+  size_t label_zero = 0;
+  for (int i = 0; i < 37; ++i) {
+    Example e;
+    e.x.assign(16, static_cast<float>(rng.NextDouble()));
+    e.label = i % 5;
+    label_zero += e.label == 0 ? 1 : 0;
+    test.Add(std::move(e));
+  }
+  const double expected = static_cast<double>(label_zero) / static_cast<double>(test.size());
+  for (const std::unique_ptr<Model>& model : SliceTestModels()) {
+    model->SetWeights(std::vector<float>(model->NumParams(), 0.0f));
+    EXPECT_EQ(model->Accuracy(test), expected) << model->name();
+    for (size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+      EXPECT_EQ(SlicedAccuracy(*model, test, parts), expected)
+          << model->name() << " parts=" << parts;
+    }
   }
 }
 
